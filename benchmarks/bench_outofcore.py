@@ -50,6 +50,7 @@ from _bench_utils import save_bench_root, save_json
 
 from repro.core import kernels
 from repro.dagdb import SparseMatrixPattern
+from repro.dagdb.reference import symbolic_fill_uplooking_reference
 from repro.io import load_dag
 from repro.io.hyperdag import read_hyperdag, write_hyperdag
 
@@ -192,10 +193,10 @@ def _timed(fn) -> float:
 def bench_symbolic_fill() -> dict:
     """Quotient-graph vs up-looking symbolic fill on tridiagonal patterns.
 
-    Times the two dispatched kernels on the same pre-symmetrised CSR
-    arrays — the symmetrisation is shared by both methods inside
-    :func:`symbolic_fill_csr`, so including it would only dilute the
-    kernel comparison.
+    Times the dispatched quotient kernel against the up-looking reference
+    on the same pre-symmetrised CSR arrays — :func:`symbolic_fill_csr`
+    symmetrises before calling the kernel, so including that step would
+    only dilute the kernel comparison.
     """
     cases = []
     for size in FILL_SIZES:
@@ -207,7 +208,7 @@ def bench_symbolic_fill() -> dict:
         )
         quotient_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        u_indptr, u_indices, u_parents = kernels.symbolic_fill(
+        u_indptr, u_indices, u_parents = symbolic_fill_uplooking_reference(
             sym.indptr, sym.indices, sym.size
         )
         uplooking_s = time.perf_counter() - t0

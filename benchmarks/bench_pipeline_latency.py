@@ -53,6 +53,7 @@ from repro.core import BspMachine, ComputationalDAG, DagBuilder, csr, kernels
 from repro.schedulers import PipelineConfig, SchedulingPipeline, coarsen_dag
 from repro.schedulers.base import Budget, Scheduler
 from repro.schedulers.comm_hill_climbing import CommScheduleHillClimbing
+from repro.schedulers.multilevel import coarsen_dag_dfs_reference
 from repro.schedulers.registry import create_scheduler
 
 BENCH_PR_NUMBER = int(os.environ.get("REPRO_BENCH_PR", "9"))
@@ -288,11 +289,11 @@ def bench_pk_coarsening() -> dict:
         target = max(num_nodes // 10, 8)
 
         start = time.perf_counter()
-        dfs_seq = coarsen_dag(dag, target, method="dfs")
+        dfs_seq = coarsen_dag_dfs_reference(dag, target)
         dfs_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        pk_seq = coarsen_dag(dag, target, method="pk")
+        pk_seq = coarsen_dag(dag, target)
         pk_time = time.perf_counter() - start
 
         # differential: identical contraction decisions, step for step

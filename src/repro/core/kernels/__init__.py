@@ -2,8 +2,13 @@
 
 Two interchangeable backends implement the hot loops of the pipeline —
 the HC refinement pass, the HCcs window walk (serial and batched-front
-flavours), the coarsening acyclicity probe and its Pearce–Kelly
-dynamic-order replacement, and the two symbolic factorisations.  The
+flavours), the Pearce–Kelly dynamic-order acyclicity probe of the
+coarsener, and the quotient-graph symbolic factorisation.  Each kernel
+serves exactly one production path; the algorithms they superseded live
+on as reference code that only tests and benchmark floors call — the
+exact-DFS coarsener (whose probe is the :func:`coarsen_reach` kernel, kept
+dispatched so the reference runs the same compiled code on every backend)
+and the up-looking symbolic fill in :mod:`repro.dagdb.reference`.  The
 :data:`KERNELS` registry lists every dispatched kernel with a one-line
 summary; the ``repro kernels`` CLI prints it, so a new kernel only needs
 the :func:`_dispatched` decorator to show up everywhere:
@@ -30,6 +35,7 @@ they are bit-identical, not merely equal within tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -51,7 +57,6 @@ __all__ = [
     "hccs_pass_fronts",
     "coarsen_reach",
     "pk_order",
-    "symbolic_fill",
     "symbolic_fill_quotient",
 ]
 
@@ -159,6 +164,36 @@ def _loop_fn(numba_name: str, loops_fn):
     return loops_fn
 
 
+def _compiled_pass(fn, args, width, start, stop, max_accept, eps, budget):
+    """Drive a compiled pass kernel over ``[start, stop)`` in budget chunks.
+
+    ``fn(*args, pos, end, cap, eps, moves_out)`` walks ``[pos, end)``,
+    accepts at most ``cap`` moves (``< 0`` = unlimited) and writes them as
+    ``width``-column rows of ``moves_out``, returning how many it wrote.
+    One call cannot observe the wall clock, so a timed ``budget`` splits
+    the range into :data:`_BUDGET_CHUNK`-sized calls checked in between;
+    the accept cap carries over across chunks.
+    """
+    timed = budget is not None and budget.seconds is not None
+    chunk = _BUDGET_CHUNK if timed else max(stop - start, 1)
+    accepted = 0
+    moves: list[tuple[int, ...]] = []
+    pos = start
+    while pos < stop:
+        if budget is not None and budget.expired():
+            break
+        cap = -1 if max_accept < 0 else max_accept - accepted
+        if max_accept >= 0 and cap <= 0:
+            break
+        end = min(pos + chunk, stop)
+        moves_out = np.empty((max(end - pos, 1), width), dtype=np.int64)
+        got = int(fn(*args, pos, end, cap, eps, moves_out))
+        moves.extend(map(tuple, moves_out[:got].tolist()))
+        accepted += got
+        pos = end
+    return accepted, moves
+
+
 @_dispatched
 def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
     """One HC refinement pass over nodes ``[start, stop)`` of a tracker.
@@ -174,53 +209,29 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
         max_accept = -1
     if get_backend() == "numpy":
         return numpy_impl.hc_pass_numpy(tracker, start, stop, max_accept, eps, budget)
-    fn = _loop_fn("hc_pass_jit", loops.hc_pass_loops)
     dag = tracker.dag
     machine = tracker.machine
-    timed = budget is not None and budget.seconds is not None
-    chunk = _BUDGET_CHUNK if timed else max(stop - start, 1)
-    accepted = 0
-    moves: list[tuple[int, int, int]] = []
-    pos = start
-    while pos < stop:
-        if budget is not None and budget.expired():
-            break
-        cap = -1 if max_accept < 0 else max_accept - accepted
-        if max_accept >= 0 and cap <= 0:
-            break
-        end = min(pos + chunk, stop)
-        moves_out = np.empty((max(end - pos, 1), 3), dtype=np.int64)
-        got = fn(
-            dag.succ_indptr,
-            dag.succ_indices,
-            dag.pred_indptr,
-            dag.pred_indices,
-            dag.work_weights,
-            dag.comm_weights,
-            machine.numa,
-            float(machine.g),
-            tracker.procs,
-            tracker.supersteps,
-            tracker.work,
-            tracker.send,
-            tracker.recv,
-            tracker._work_max,
-            tracker._comm_max,
-            tracker.need_min,
-            tracker.need_cnt,
-            pos,
-            end,
-            cap,
-            eps,
-            moves_out,
-        )
-        for k in range(got):
-            moves.append(
-                (int(moves_out[k, 0]), int(moves_out[k, 1]), int(moves_out[k, 2]))
-            )
-        accepted += int(got)
-        pos = end
-    return accepted, moves
+    args = (
+        dag.succ_indptr,
+        dag.succ_indices,
+        dag.pred_indptr,
+        dag.pred_indices,
+        dag.work_weights,
+        dag.comm_weights,
+        machine.numa,
+        float(machine.g),
+        tracker.procs,
+        tracker.supersteps,
+        tracker.work,
+        tracker.send,
+        tracker.recv,
+        tracker._work_max,
+        tracker._comm_max,
+        tracker.need_min,
+        tracker.need_cnt,
+    )
+    fn = _loop_fn("hc_pass_jit", loops.hc_pass_loops)
+    return _compiled_pass(fn, args, 3, start, stop, max_accept, eps, budget)
 
 
 @_dispatched
@@ -235,61 +246,38 @@ def hccs_pass(state: HccsState, start, stop, max_accept=-1, eps=_EPS, budget=Non
         max_accept = -1
     if get_backend() == "numpy":
         return numpy_impl.hccs_pass_numpy(state, start, stop, max_accept, eps, budget)
+    args = (
+        state.send,
+        state.recv,
+        state.comm_max,
+        state.choices,
+        state.movable,
+        state.srcs,
+        state.tgts,
+        state.earliest,
+        state.latest,
+        state.volumes,
+    )
     fn = _loop_fn("hccs_pass_jit", loops.hccs_pass_loops)
-    timed = budget is not None and budget.seconds is not None
-    chunk = _BUDGET_CHUNK if timed else max(stop - start, 1)
-    accepted = 0
-    moves: list[tuple[int, int]] = []
-    pos = start
-    while pos < stop:
-        if budget is not None and budget.expired():
-            break
-        cap = -1 if max_accept < 0 else max_accept - accepted
-        if max_accept >= 0 and cap <= 0:
-            break
-        end = min(pos + chunk, stop)
-        moves_out = np.empty((max(end - pos, 1), 2), dtype=np.int64)
-        got = fn(
-            state.send,
-            state.recv,
-            state.comm_max,
-            state.choices,
-            state.movable,
-            state.srcs,
-            state.tgts,
-            state.earliest,
-            state.latest,
-            state.volumes,
-            pos,
-            end,
-            cap,
-            eps,
-            moves_out,
-        )
-        for k in range(got):
-            moves.append((int(moves_out[k, 0]), int(moves_out[k, 1])))
-        accepted += int(got)
-        pos = end
-    return accepted, moves
+    return _compiled_pass(fn, args, 2, start, stop, max_accept, eps, budget)
 
 
 @_dispatched
-def coarsen_reach(graph, u, v, budget=None):
-    """Alternative-path probe for the coarsener's acyclicity check.
+def coarsen_reach(graph, u, v):
+    """Alternative-path probe of the exact-DFS reference coarsener.
 
     ``graph`` is a flat-adjacency working graph (``succ_pool``/``succ_start``
     /``succ_len`` plus reusable DFS scratch).  Returns ``1`` when another
-    ``u -> v`` route exists (not contractable), ``0`` when none does, and
-    ``-1`` when the node ``budget`` (``None`` = unlimited) runs out first.
+    ``u -> v`` route exists (not contractable), ``0`` when none does.
+    Production coarsening probes with :func:`pk_order` instead; this DFS
+    backs :func:`~repro.schedulers.multilevel.coarsen.coarsen_dag_dfs_reference`.
     """
     backend = get_backend()
     if backend == "numpy":
-        # Python-native mirror of the loop body (identical visit order and
-        # budget accounting) — much faster than the un-jitted array DFS
-        return numpy_impl.coarsen_reach_numpy(graph, u, v, budget)
-    fn = (
-        numba_impl.coarsen_reach_jit if backend == "numba" else loops.coarsen_reach_loops
-    )
+        # Python-native mirror of the loop body (identical visit order) —
+        # much faster than the un-jitted array DFS
+        return numpy_impl.coarsen_reach_numpy(graph, u, v)
+    fn = _loop_fn("coarsen_reach_jit", loops.coarsen_reach_loops)
     return int(
         fn(
             graph.succ_pool,
@@ -297,7 +285,6 @@ def coarsen_reach(graph, u, v, budget=None):
             graph.succ_len,
             u,
             v,
-            -1 if budget is None else budget,
             graph.dfs_stack,
             graph.dfs_seen,
             graph.next_stamp(),
@@ -398,18 +385,7 @@ def hccs_pass_fronts(state: HccsState, eps=_EPS, budget=None):
             # the front is too small (absolutely, or relative to the
             # remaining windows) to amortise the batching overhead: the
             # remaining suffix in scan order *is* the serial completion
-            sub = HccsState(
-                send=state.send,
-                recv=state.recv,
-                comm_max=state.comm_max,
-                choices=state.choices,
-                movable=movable[remaining],
-                srcs=state.srcs,
-                tgts=state.tgts,
-                earliest=state.earliest,
-                latest=state.latest,
-                volumes=state.volumes,
-            )
+            sub = dataclasses.replace(state, movable=movable[remaining])
             got, pass_moves = hccs_pass(sub, 0, remaining.size, -1, eps, budget)
             pos_of = dict(zip(movable[remaining].tolist(), remaining.tolist()))
             for index, phase in pass_moves:
@@ -420,30 +396,9 @@ def hccs_pass_fronts(state: HccsState, eps=_EPS, budget=None):
         if backend == "numpy":
             got, front_moves = numpy_impl.hccs_front_numpy(state, front, eps)
         else:
-            fn = _loop_fn("hccs_pass_jit", loops.hccs_pass_loops)
-            moves_out = np.empty((max(front.size, 1), 2), dtype=np.int64)
-            got = int(
-                fn(
-                    state.send,
-                    state.recv,
-                    state.comm_max,
-                    state.choices,
-                    front,
-                    state.srcs,
-                    state.tgts,
-                    state.earliest,
-                    state.latest,
-                    state.volumes,
-                    0,
-                    front.size,
-                    -1,
-                    eps,
-                    moves_out,
-                )
+            got, front_moves = hccs_pass(
+                dataclasses.replace(state, movable=front), 0, front.size, -1, eps
             )
-            front_moves = [
-                (int(moves_out[k, 0]), int(moves_out[k, 1])) for k in range(got)
-            ]
         pos_of = dict(zip(front.tolist(), front_pos.tolist()))
         for index, phase in front_moves:
             tagged.append((pos_of[index], index, phase))
@@ -454,33 +409,17 @@ def hccs_pass_fronts(state: HccsState, eps=_EPS, budget=None):
 
 
 @_dispatched
-def symbolic_fill(indptr, indices, n):
-    """Per-column structure union of the up-looking symbolic factorisation.
-
-    Takes the CSR pattern of the symmetrised matrix; returns the ragged
-    below-diagonal column structures of ``L`` as ``(out_indptr,
-    out_indices, parents)`` with ``parents`` the elimination tree.
-    """
-    backend = get_backend()
-    if backend == "numpy":
-        return numpy_impl.symbolic_fill_numpy(indptr, indices, n)
-    fn = _loop_fn("symbolic_fill_jit", loops.symbolic_fill_loops)
-    return fn(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        n,
-    )
-
-
-@_dispatched
 def symbolic_fill_quotient(indptr, indices, n):
     """Row-merge-tree symbolic factorisation (quotient-graph algorithm).
 
-    Same contract and bit-identical output as :func:`symbolic_fill`
-    (sorted below-diagonal column structures of ``L`` plus the elimination
-    tree), computed via Liu's path-compressed etree and marked row-subtree
+    Takes the CSR pattern of the symmetrised matrix; returns the sorted
+    below-diagonal column structures of ``L`` as ``(out_indptr,
+    out_indices, parents)`` with ``parents`` the elimination tree.
+    Computed via Liu's path-compressed etree and marked row-subtree
     traversals instead of per-column unions — ``O(|A| · α + |L|)`` total,
     which is what makes million-column elimination DAGs constructible.
+    Output is bit-identical to the up-looking per-column union pass kept
+    as :func:`repro.dagdb.reference.symbolic_fill_uplooking_reference`.
     The numpy backend runs the walks over plain Python lists
     (:func:`~repro.core.kernels.numpy_impl.symbolic_fill_quotient_numpy`);
     the compiled backend jits the identical loop body.

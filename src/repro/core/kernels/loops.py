@@ -30,7 +30,6 @@ __all__ = [
     "hccs_pass_loops",
     "coarsen_reach_loops",
     "pk_order_loops",
-    "symbolic_fill_loops",
     "symbolic_fill_quotient_loops",
 ]
 
@@ -455,7 +454,6 @@ def coarsen_reach_loops(
     succ_len,
     u,
     v,
-    budget,
     stack,
     seen,
     stamp,
@@ -464,10 +462,9 @@ def coarsen_reach_loops(
 
     DFS over the descendants of ``u`` (entered through every successor
     except ``v``) looking for another route to ``v``.  Returns ``1`` when
-    one exists (the edge is *not* contractable), ``0`` when none does, and
-    ``-1`` when the ``budget`` (max expanded nodes; ``< 0`` = unlimited)
-    runs out before the answer is known.  ``seen`` is a stamp array and
-    ``stack`` a preallocated scratch; both are reused across calls.
+    one exists (the edge is *not* contractable) and ``0`` when none does.
+    ``seen`` is a stamp array and ``stack`` a preallocated scratch; both
+    are reused across calls.
     """
     top = 0
     base = succ_start[u]
@@ -477,14 +474,9 @@ def coarsen_reach_loops(
             stack[top] = w
             top += 1
             seen[w] = stamp
-    remaining = budget
     while top > 0:
         top -= 1
         x = stack[top]
-        if remaining >= 0:
-            remaining -= 1
-            if remaining < 0:
-                return -1
         xb = succ_start[x]
         for k in range(succ_len[x]):
             w = succ_pool[xb + k]
@@ -623,81 +615,19 @@ def pk_order_loops(
     return 0
 
 
-def symbolic_fill_loops(indptr, indices, n):
-    """Up-looking symbolic factorisation over a sorted CSR pattern.
-
-    Column ``j``'s below-diagonal structure is the union of ``A``'s column
-    entries below ``j`` and the structures of ``j``'s elimination-tree
-    children minus their pivot rows.  Children are kept in per-parent
-    linked lists; each union is a concatenate-sort-dedupe over sorted
-    inputs, so the emitted structures are sorted and duplicate-free —
-    identical to the ``np.unique`` of the numpy reference.  Returns the
-    ragged structures as ``(out_indptr, out_indices, parents)``.
-    """
-    parents = np.full(n, -1, dtype=np.int64)
-    first_child = np.full(n, -1, dtype=np.int64)
-    next_sibling = np.full(n, -1, dtype=np.int64)
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    cap = indices.shape[0] + 16
-    out = np.empty(cap, dtype=np.int64)
-    used = 0
-    for j in range(n):
-        total = 0
-        for k in range(indptr[j], indptr[j + 1]):
-            if indices[k] > j:
-                total += 1
-        c = first_child[j]
-        while c != -1:
-            total += (out_indptr[c + 1] - out_indptr[c]) - 1
-            c = next_sibling[c]
-        buf = np.empty(total, dtype=np.int64)
-        pos = 0
-        for k in range(indptr[j], indptr[j + 1]):
-            if indices[k] > j:
-                buf[pos] = indices[k]
-                pos += 1
-        c = first_child[j]
-        while c != -1:
-            for k in range(out_indptr[c] + 1, out_indptr[c + 1]):
-                buf[pos] = out[k]
-                pos += 1
-            c = next_sibling[c]
-        buf = np.sort(buf)
-        # dedupe the sorted candidates straight into the output pool
-        row_len = 0
-        for k in range(total):
-            if k == 0 or buf[k] != buf[k - 1]:
-                row_len += 1
-        while used + row_len > cap:
-            cap = cap * 2
-            grown = np.empty(cap, dtype=np.int64)
-            grown[:used] = out[:used]
-            out = grown
-        for k in range(total):
-            if k == 0 or buf[k] != buf[k - 1]:
-                out[used] = buf[k]
-                used += 1
-        out_indptr[j + 1] = used
-        if row_len > 0:
-            parent = out[out_indptr[j]]
-            parents[j] = parent
-            next_sibling[j] = first_child[parent]
-            first_child[parent] = j
-    return out_indptr, out[:used], parents
-
-
 def symbolic_fill_quotient_loops(indptr, indices, n):
     """Row-merge-tree symbolic factorisation over a sorted CSR pattern.
 
-    The asymptotic replacement for :func:`symbolic_fill_loops`: instead of
-    unioning child structures per column (which re-sorts every candidate
-    set), compute the elimination tree first (Liu's ancestor walk with path
-    compression), then obtain each row ``i``'s structure as the union of
+    The asymptotic replacement for the up-looking pass
+    (:func:`repro.dagdb.reference.symbolic_fill_uplooking_reference`):
+    instead of unioning child structures per column (which re-sorts every
+    candidate set), compute the elimination tree first (Liu's ancestor
+    walk with path compression), then obtain each row ``i``'s structure as the union of
     the etree paths ``j -> i`` for every entry ``A[i, j]`` with ``j < i``
     — a marked traversal that touches every output entry exactly once, so
     the whole pass is ``O(|A| · α + |L|)``.  Rows are visited in increasing
     ``i``, so each column's structure is emitted sorted and duplicate-free:
-    the output is bit-identical to the up-looking kernels.  Returns the
+    the output is bit-identical to the up-looking reference.  Returns the
     ragged below-diagonal column structures as ``(out_indptr, out_indices,
     parents)`` with ``parents`` the elimination tree.
     """

@@ -30,7 +30,6 @@ __all__ = [
     "hccs_pass_jit",
     "coarsen_reach_jit",
     "pk_order_jit",
-    "symbolic_fill_jit",
     "symbolic_fill_quotient_jit",
 ]
 
@@ -38,7 +37,6 @@ hc_pass_jit = None
 hccs_pass_jit = None
 coarsen_reach_jit = None
 pk_order_jit = None
-symbolic_fill_jit = None
 symbolic_fill_quotient_jit = None
 
 _available = False
@@ -56,7 +54,6 @@ else:  # pragma: no cover - exercised only on numba installs (CI matrix leg)
         hccs_pass_jit = _jit(loops.hccs_pass_loops)
         coarsen_reach_jit = _jit(loops.coarsen_reach_loops)
         pk_order_jit = _jit(loops.pk_order_loops)
-        symbolic_fill_jit = _jit(loops.symbolic_fill_loops)
         symbolic_fill_quotient_jit = _jit(loops.symbolic_fill_quotient_loops)
         _version = getattr(_numba, "__version__", "unknown")
         _available = True
@@ -80,13 +77,17 @@ def version() -> str | None:
 
 
 def warmup() -> float:  # pragma: no cover - exercised on numba installs only
-    """Force-compile every kernel on tiny instances; return seconds spent.
+    """Force-compile every jitted kernel on tiny instances; return seconds spent.
 
+    Five loop bodies back the six dispatched kernels: ``hc_pass``,
+    ``hccs_pass`` (whose jit also evaluates the compiled fronts of
+    ``hccs_pass_fronts``), ``coarsen_reach`` (the exact-DFS reference
+    coarsener's probe), ``pk_order`` and ``symbolic_fill_quotient``.
     Numba compiles per argument signature on first call; the adapters in the
     dispatch layer always pass int64/float64 arrays, so one tiny call per
-    kernel covers the signatures the real workloads hit.  Benchmarks call
-    this before their timed regions and report the returned compile time as
-    volatile metadata.
+    kernel (two for ``pk_order``, one per branch) covers the signatures the
+    real workloads hit.  Benchmarks call this before their timed regions and
+    report the returned compile time as volatile metadata.
     """
     if not _available:
         return 0.0
@@ -140,7 +141,6 @@ def warmup() -> float:  # pragma: no cover - exercised on numba installs only
         np.array([1, 0], dtype=i64),
         0,
         1,
-        -1,
         np.zeros(2, dtype=i64),
         np.zeros(2, dtype=i64),
         1,
@@ -180,11 +180,6 @@ def warmup() -> float:  # pragma: no cover - exercised on numba installs only
         np.zeros(2, dtype=i64),
         np.zeros(2, dtype=i64),
         2,
-    )
-    symbolic_fill_jit(
-        np.array([0, 1], dtype=i64),
-        np.array([0], dtype=i64),
-        1,
     )
     symbolic_fill_quotient_jit(
         np.array([0, 1], dtype=i64),

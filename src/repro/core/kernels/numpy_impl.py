@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loops import symbolic_fill_loops
 from .state import HccsState
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "hccs_pass_numpy",
     "coarsen_reach_numpy",
     "pk_order_numpy",
-    "symbolic_fill_numpy",
     "symbolic_fill_quotient_numpy",
 ]
 
@@ -125,14 +123,13 @@ def hccs_pass_numpy(state: HccsState, start, stop, max_accept, eps, budget=None)
     return accepted, moves
 
 
-def coarsen_reach_numpy(graph, u, v, budget):
+def coarsen_reach_numpy(graph, u, v):
     """Alternative-path DFS over the flat adjacency pools.
 
     Python-native mirror of :func:`repro.core.kernels.loops.coarsen_reach_loops`
-    — identical visit order and budget accounting (so every backend makes
-    the same contract/skip decisions), but with list/set containers, which
-    beat per-element numpy indexing by a wide margin when the loop body is
-    not compiled.
+    — identical visit order (so every backend makes the same contract/skip
+    decisions), but with list/set containers, which beat per-element numpy
+    indexing by a wide margin when the loop body is not compiled.
     """
     succ_pool = graph.succ_pool
     succ_start = graph.succ_start
@@ -140,13 +137,8 @@ def coarsen_reach_numpy(graph, u, v, budget):
     base = int(succ_start[u])
     stack = [w for w in succ_pool[base : base + int(succ_len[u])].tolist() if w != v]
     seen = set(stack)
-    remaining = -1 if budget is None else budget
     while stack:
         x = stack.pop()
-        if remaining >= 0:
-            remaining -= 1
-            if remaining < 0:
-                return -1
         xb = int(succ_start[x])
         for w in succ_pool[xb : xb + int(succ_len[x])].tolist():
             if w == v:
@@ -331,41 +323,6 @@ def hccs_front_numpy(state: HccsState, front, eps):
     return len(moves), moves
 
 
-def symbolic_fill_numpy(indptr, indices, n):
-    """Per-column union pass of the symbolic factorisation (numpy sets).
-
-    The pre-dispatch loop: column ``j``'s structure is the ``np.unique`` of
-    ``A``'s below-diagonal column entries and the children structures minus
-    their pivot rows.  Returns the ragged structures as
-    ``(out_indptr, out_indices, parents)``.
-    """
-    parents = np.full(n, -1, dtype=np.int64)
-    children: list[list[int]] = [[] for _ in range(n)]
-    structures: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for j in range(n):
-        row = indices[indptr[j] : indptr[j + 1]]
-        pieces = [row[row > j]]
-        # a child's structure starts at its pivot row == j; drop that entry
-        pieces.extend(structures[c][1:] for c in children[j])
-        struct = (
-            np.unique(np.concatenate(pieces))
-            if len(pieces) > 1
-            else pieces[0].astype(np.int64)
-        )
-        structures[j] = struct
-        if struct.size:
-            parent = int(struct[0])
-            parents[j] = parent
-            children[parent].append(j)
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        np.cumsum([s.size for s in structures], out=out_indptr[1:])
-    out_indices = (
-        np.concatenate(structures) if n else np.empty(0, dtype=np.int64)
-    ).astype(np.int64, copy=False)
-    return out_indptr, out_indices, parents
-
-
 def symbolic_fill_quotient_numpy(indptr, indices, n):
     """Row-merge-tree symbolic factorisation (pure-Python list walks).
 
@@ -378,7 +335,7 @@ def symbolic_fill_quotient_numpy(indptr, indices, n):
     scalar indexing), and the count/fill double traversal collapses into a
     single pass appending to per-column lists — rows are visited in
     increasing order, so each column comes out sorted and duplicate-free.
-    Output is bit-identical to every other ``symbolic_fill`` backend.
+    Output is bit-identical to the compiled backend's.
     """
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     lower = indices < rows
@@ -434,6 +391,3 @@ def symbolic_fill_quotient_numpy(indptr, indices, n):
     out_indices = np.asarray(out, dtype=np.int64)
     return out_indptr, out_indices, np.asarray(parents, dtype=np.int64)
 
-
-def _ignore():  # pragma: no cover - keeps the shared-code import explicit
-    return symbolic_fill_loops

@@ -8,11 +8,19 @@ DAGs — same node ids, roles, CSR neighbour orders and weights — so these
 functions back the differential tests (``tests/test_generator_diff.py``)
 and the generation section of ``benchmarks/bench_dag_kernels.py``.
 
+:func:`symbolic_fill_uplooking_reference` is the up-looking symbolic
+factorisation that the quotient-graph kernel behind
+:func:`repro.dagdb.structured.symbolic_fill_csr` replaced; it backs the
+fill differential test (``tests/test_structured_generators.py``) and the
+fill floor of ``benchmarks/bench_outofcore.py``.
+
 Do not optimise this module; its value is being the simple, obviously
 correct spelling of the generators.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..core.dag import ComputationalDAG, DagBuilder
 from ..core.exceptions import DagError
@@ -33,6 +41,7 @@ __all__ = [
     "build_sparse_nn_inference_coarse_reference",
     "COARSE_GENERATORS_REFERENCE",
     "FINE_GENERATORS_REFERENCE",
+    "symbolic_fill_uplooking_reference",
 ]
 
 
@@ -388,3 +397,41 @@ COARSE_GENERATORS_REFERENCE = {
     "kmeans": build_kmeans_coarse_reference,
     "sparse_nn": build_sparse_nn_inference_coarse_reference,
 }
+
+
+def symbolic_fill_uplooking_reference(indptr, indices, n):
+    """Up-looking symbolic factorisation: per-column unions (numpy sets).
+
+    The pre-quotient algorithm: column ``j``'s structure is the
+    ``np.unique`` of ``A``'s below-diagonal column entries and the children
+    structures minus their pivot rows.  Takes the CSR pattern of the
+    symmetrised matrix and returns the ragged structures as
+    ``(out_indptr, out_indices, parents)`` — the contract of
+    :func:`repro.core.kernels.symbolic_fill_quotient`, which must match it
+    bit for bit.
+    """
+    parents = np.full(n, -1, dtype=np.int64)
+    children: list[list[int]] = [[] for _ in range(n)]
+    structures: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    for j in range(n):
+        row = indices[indptr[j] : indptr[j + 1]]
+        pieces = [row[row > j]]
+        # a child's structure starts at its pivot row == j; drop that entry
+        pieces.extend(structures[c][1:] for c in children[j])
+        struct = (
+            np.unique(np.concatenate(pieces))
+            if len(pieces) > 1
+            else pieces[0].astype(np.int64)
+        )
+        structures[j] = struct
+        if struct.size:
+            parent = int(struct[0])
+            parents[j] = parent
+            children[parent].append(j)
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    if n:
+        np.cumsum([s.size for s in structures], out=out_indptr[1:])
+    out_indices = (
+        np.concatenate(structures) if n else np.empty(0, dtype=np.int64)
+    ).astype(np.int64, copy=False)
+    return out_indptr, out_indices, parents

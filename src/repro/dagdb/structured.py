@@ -79,41 +79,27 @@ def _finish(
 # ---------------------------------------------------------------------- #
 def symbolic_fill_csr(
     pattern: SparseMatrixPattern,
-    method: str = "quotient",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Below-diagonal structure of ``L`` for ``A ∪ Aᵀ`` as pooled CSR arrays.
 
     Returns ``(out_indptr, out_indices, parents)`` — column ``j``'s sorted
     structure is ``out_indices[out_indptr[j]:out_indptr[j + 1]]`` and
-    ``parents`` is the elimination tree (``-1`` for roots).  ``method``
-    selects the kernel, both dispatched through
-    :mod:`repro.core.kernels` and bit-identical:
-
-    * ``"quotient"`` (default) — the row-merge-tree pass
-      (:func:`repro.core.kernels.symbolic_fill_quotient`): Liu's
-      path-compressed elimination tree plus marked row-subtree traversals,
-      ``O(|A| · α + |L|)``, which is what makes million-column elimination
-      DAGs constructible.
-    * ``"uplooking"`` — the historical per-column union pass
-      (:func:`repro.core.kernels.symbolic_fill`), retained as the pinned
-      differential reference.
+    ``parents`` is the elimination tree (``-1`` for roots).  Computed by
+    the dispatched row-merge-tree pass
+    (:func:`repro.core.kernels.symbolic_fill_quotient`): Liu's
+    path-compressed elimination tree plus marked row-subtree traversals,
+    ``O(|A| · α + |L|)``, which is what makes million-column elimination
+    DAGs constructible.  The up-looking per-column union pass it replaced
+    is kept as
+    :func:`repro.dagdb.reference.symbolic_fill_uplooking_reference` and
+    pinned against it by the differential tests.
     """
-    if method not in ("quotient", "uplooking"):
-        raise DagError(
-            f"unknown symbolic fill method {method!r} (use 'quotient' or 'uplooking')"
-        )
     sym = pattern.symmetrized()
-    fill = (
-        kernels.symbolic_fill_quotient
-        if method == "quotient"
-        else kernels.symbolic_fill
-    )
-    return fill(sym.indptr, sym.indices, sym.size)
+    return kernels.symbolic_fill_quotient(sym.indptr, sym.indices, sym.size)
 
 
 def symbolic_fill_structure(
     pattern: SparseMatrixPattern,
-    method: str = "quotient",
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Below-diagonal column structures of ``L`` for ``A ∪ Aᵀ``, plus the etree.
 
@@ -125,7 +111,7 @@ def symbolic_fill_structure(
     (like :func:`build_elimination_dag`) should use
     :func:`symbolic_fill_csr` and skip the ``n`` view allocations.
     """
-    out_indptr, out_indices, parents = symbolic_fill_csr(pattern, method=method)
+    out_indptr, out_indices, parents = symbolic_fill_csr(pattern)
     n = pattern.size
     structures = [
         out_indices[out_indptr[j] : out_indptr[j + 1]] for j in range(n)

@@ -5,6 +5,7 @@ from .coarsen import (
     ContractionRecord,
     QuotientDag,
     coarsen_dag,
+    coarsen_dag_dfs_reference,
     coarsen_dag_reference,
 )
 from .refine import project_arrays, project_to_original, restrict_arrays, restrict_to_quotient
@@ -16,6 +17,7 @@ __all__ = [
     "MultilevelScheduler",
     "QuotientDag",
     "coarsen_dag",
+    "coarsen_dag_dfs_reference",
     "coarsen_dag_reference",
     "project_arrays",
     "project_to_original",

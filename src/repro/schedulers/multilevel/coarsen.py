@@ -32,9 +32,18 @@ refinements over the seed (both covered by tests):
   scanned in the same largest-``c(u)`` order as the light set — the paper's
   selection rule — instead of the seed's ascending-work order.
 
-The seed path is retained verbatim as :func:`coarsen_dag_reference` for
-differential tests and the scaling benchmark in
-``benchmarks/bench_dag_kernels.py``.
+Every acyclicity probe runs against a Pearce–Kelly dynamic topological
+order (:func:`repro.core.kernels.pk_order`): the probe is pruned to the
+position strip between the endpoints and each contraction repairs the
+order incrementally.
+
+Two references are retained for differential tests and benchmark floors:
+:func:`coarsen_dag_reference`, the seed path verbatim (used by the scaling
+benchmark in ``benchmarks/bench_dag_kernels.py``), and
+:func:`coarsen_dag_dfs_reference`, the same bucket queue and flat graph
+probing with a plain DFS (:func:`repro.core.kernels.coarsen_reach`), which
+must make the same contraction decisions as :func:`coarsen_dag` step for
+step.
 """
 
 from __future__ import annotations
@@ -56,8 +65,13 @@ __all__ = [
     "QuotientDag",
     "CoarseningSequence",
     "coarsen_dag",
+    "coarsen_dag_dfs_reference",
     "coarsen_dag_reference",
 ]
+
+#: The paper's selection rule contracts among the lightest third of the
+#: edges by merged work weight.
+LIGHT_FRACTION = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -248,7 +262,8 @@ class _FlatGraph:
     adjacency kept as *pooled sorted rows* (``succ_pool``/``succ_start``/
     ``succ_len`` and the predecessor mirror) instead of dict-of-sets.  The
     flat successor arrays are exactly what the dispatched acyclicity probe
-    (:func:`repro.core.kernels.coarsen_reach`) walks — a compiled DFS over
+    (:func:`repro.core.kernels.pk_order` and the reference DFS
+    :func:`repro.core.kernels.coarsen_reach`) walk — compiled loops over
     int64 buffers with reusable stamp/stack scratch, no per-call Python set
     allocation.  A contraction merges rows as sorted duplicate-free sets
     (plain Python set-union — far cheaper than a numpy set op on the short
@@ -330,24 +345,23 @@ class _FlatGraph:
         return self._stamp
 
     # ------------------------------------------------------------------ #
-    def is_contractable(self, u: int, v: int, budget: int | None = None) -> bool:
+    def is_contractable(self, u: int, v: int) -> bool:
         """True when the only ``u -> v`` path is the direct edge.
 
         Same contract as :meth:`_MutableGraph.is_contractable`: two O(1)
-        fast paths, then the reachability probe; a probe stopped by the
-        ``budget`` conservatively reports *not* contractable.  With a
-        maintained dynamic order (``use_order=True``) and no budget, the
-        probe is the Pearce–Kelly kernel pruned to the position strip
-        ``order < order[v]`` — exact, and on dense DAGs a small fraction
-        of the descendant set the plain DFS walks.
+        fast paths, then an exact reachability probe.  With a maintained
+        dynamic order (``use_order=True``) the probe is the Pearce–Kelly
+        kernel pruned to the position strip ``order < order[v]`` — on dense
+        DAGs a small fraction of the descendant set the plain DFS of the
+        reference coarsener walks.
         """
         if self.succ_len[u] == 1:
             return True
         if self.pred_len[v] == 1:
             return True
-        if self.order is not None and budget is None:
+        if self.order is not None:
             return kernels.pk_order(self, 0, u, v) == 0
-        return kernels.coarsen_reach(self, u, v, budget) == 0
+        return kernels.coarsen_reach(self, u, v) == 0
 
     def contract(self, u: int, v: int) -> None:
         """Merge ``v`` into ``u`` (the edge ``(u, v)`` must exist and be contractable)."""
@@ -531,18 +545,18 @@ class _BucketQueue:
             heapq.heappush(self.buckets[key], entry)
         return chosen
 
-    def select(self, light_fraction: float, is_contractable) -> tuple | None:
+    def select(self, is_contractable) -> tuple | None:
         """The paper's selection rule over the current candidate set.
 
         Walks the buckets in ascending key order until the lightest
-        ``light_fraction`` of the live edges is covered (whole boundary
+        :data:`LIGHT_FRACTION` of the live edges is covered (whole boundary
         bucket included), picks the max-``c(u)`` contractable edge among
         them, and falls back to the heavier remainder in the same comm-major
         order when the light set has no contractable edge.
         """
         if self.total == 0:
             return None
-        cutoff = max(1, math.ceil(self.total * light_fraction))
+        cutoff = max(1, math.ceil(self.total * LIGHT_FRACTION))
         light_keys: list[float] = []
         covered = 0
         dead = 0
@@ -574,13 +588,7 @@ class _BucketQueue:
         self.keys = sorted(self.live)
 
 
-def coarsen_dag(
-    dag: ComputationalDAG,
-    target_nodes: int,
-    light_fraction: float = 1.0 / 3.0,
-    search_budget: int | None = None,
-    method: str = "auto",
-) -> CoarseningSequence:
+def coarsen_dag(dag: ComputationalDAG, target_nodes: int) -> CoarseningSequence:
     """Contract edges until at most ``target_nodes`` nodes remain.
 
     The paper's selection rule is applied at every step (lightest third by
@@ -589,39 +597,40 @@ def coarsen_dag(
     light set has no contractable candidate).  The procedure stops early
     when no contractable edge exists (e.g. the graph has become edgeless).
 
-    ``method`` selects the acyclicity machinery.  ``"pk"`` maintains a
-    Pearce–Kelly dynamic topological order: every probe is pruned to the
-    position strip between the endpoints and every contraction repairs the
-    order incrementally — exact, with the same contract/skip decisions as
-    the DFS, but near-linear growth on dense DAGs where the plain DFS
-    re-walks large descendant sets.  ``"dfs"`` is the per-contraction DFS
-    probe (:func:`repro.core.kernels.coarsen_reach`), retained as the
-    pinned differential reference.  ``"auto"`` (default) uses ``"pk"``
-    exactly when the check is exact, i.e. no ``search_budget`` is set.
-
-    ``search_budget`` bounds the per-edge acyclicity DFS; edges whose
-    verification would expand more nodes are conservatively skipped (see
-    :meth:`_FlatGraph.is_contractable`).  ``None`` (the default) keeps the
-    check exact.  A budget requires the DFS method — its accounting is
-    defined in expanded DFS nodes — so combining it with ``method="pk"``
-    is an error.
+    Acyclicity is checked exactly against a maintained Pearce–Kelly
+    dynamic topological order: every probe is pruned to the position strip
+    between the endpoints and every contraction repairs the order
+    incrementally, which keeps growth near-linear on dense DAGs where a
+    plain DFS re-walks large descendant sets.
     """
+    return _coarsen(dag, target_nodes, use_order=True)
+
+
+def coarsen_dag_dfs_reference(
+    dag: ComputationalDAG, target_nodes: int
+) -> CoarseningSequence:
+    """:func:`coarsen_dag` with a plain per-contraction DFS acyclicity probe.
+
+    Same bucket queue and flat working graph, but no maintained order: a
+    non-trivial probe is the dispatched alternative-path DFS
+    (:func:`repro.core.kernels.coarsen_reach`).  Both checks are exact, so
+    the contraction records equal :func:`coarsen_dag`'s step for step.
+    Retained for differential tests and the Pearce–Kelly benchmark floor
+    (``benchmarks/bench_pipeline_latency.py``).
+    """
+    return _coarsen(dag, target_nodes, use_order=False)
+
+
+def _coarsen(
+    dag: ComputationalDAG, target_nodes: int, use_order: bool
+) -> CoarseningSequence:
     if target_nodes < 1:
         raise DagError("target_nodes must be >= 1")
-    if method not in ("auto", "pk", "dfs"):
-        raise DagError(f"unknown coarsening method {method!r}")
-    if method == "pk" and search_budget is not None:
-        raise DagError("search_budget is a DFS-node budget; use method='dfs'")
-    use_order = method == "pk" or (method == "auto" and search_budget is None)
     sequence = CoarseningSequence(original=dag)
     graph = _FlatGraph(dag, use_order=use_order)
     queue = _BucketQueue(graph)
-
-    def check(u: int, v: int) -> bool:
-        return graph.is_contractable(u, v, search_budget)
-
     while graph.num_nodes > target_nodes:
-        chosen = queue.select(light_fraction, check)
+        chosen = queue.select(graph.is_contractable)
         if chosen is None:
             break
         queue.contract(*chosen)

@@ -1,6 +1,6 @@
 """Tests for the kernel-dispatch layer (``repro.core.kernels``).
 
-Two concerns live here:
+Three concerns live here:
 
 * **dispatch** — backend selection honours ``REPRO_KERNEL_BACKEND``, fails
   loudly on an impossible request (unknown name, numba forced where it is
@@ -10,7 +10,10 @@ Two concerns live here:
   ``loops`` backend runs the exact uncompiled loop bodies numba compiles,
   so this suite pins the compiled backend's semantics even on machines
   without numba; when numba is importable the jitted backend is tested
-  directly as a third parametrization.
+  directly as a third parametrization;
+* **registry completeness** — every kernel in :data:`KERNELS` is pinned by
+  at least one parity case (marked with :func:`covers`), so a kernel added
+  or removed without a matching parity case fails the suite.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingSer
 from repro.core import BspMachine
 from repro.core.kernels import (
     ENV_VAR,
+    KERNELS,
     KernelBackendError,
     available_backends,
     backend_info,
@@ -33,7 +37,7 @@ from repro.core.parallel import parallel_map
 from repro.dagdb import SparseMatrixPattern
 from repro.dagdb.structured import symbolic_fill_structure
 from repro.schedulers import CommScheduleHillClimbing, HillClimbingImprover
-from repro.schedulers.multilevel.coarsen import coarsen_dag
+from repro.schedulers.multilevel.coarsen import coarsen_dag, coarsen_dag_dfs_reference
 from repro.schedulers.reference import (
     CommScheduleHillClimbingReference,
     HillClimbingImproverReference,
@@ -44,6 +48,16 @@ from conftest import random_dag
 
 #: every backend the parity suite can exercise in this interpreter
 PARITY_BACKENDS = ["numpy", "loops"] + (["numba"] if numba_impl.available() else [])
+
+
+def covers(*names):
+    """Mark a parity test as pinning the dispatched kernels ``names``."""
+
+    def mark(test):
+        test.kernels = names
+        return test
+
+    return mark
 
 
 # ---------------------------------------------------------------------- #
@@ -118,6 +132,7 @@ def backend(request, monkeypatch):
 
 
 class TestBackendParity:
+    @covers("hc_pass")
     def test_hc_moves_match_seed_reference(self, backend):
         for seed in range(4):
             dag = random_dag(28, 0.18, seed=200 + seed)
@@ -131,6 +146,7 @@ class TestBackendParity:
             assert np.array_equal(ref_result.procs, result.procs)
             assert np.array_equal(ref_result.supersteps, result.supersteps)
 
+    @covers("hc_pass")
     def test_hc_max_steps_cut_mid_pass(self, backend):
         dag = random_dag(30, 0.15, seed=41)
         machine = BspMachine.uniform(4, g=3, latency=2)
@@ -142,6 +158,7 @@ class TestBackendParity:
         capped.improve(start)
         assert capped.last_moves == unlimited.last_moves[:2]
 
+    @covers("hccs_pass", "hccs_pass_fronts")
     def test_hccs_moves_match_seed_reference(self, backend):
         for seed in range(4):
             dag = random_dag(32, 0.2, seed=300 + seed)
@@ -154,14 +171,16 @@ class TestBackendParity:
             assert reference.last_moves == dispatched.last_moves, (backend, seed)
             assert ref_result.comm_schedule == result.comm_schedule
 
+    @covers("coarsen_reach")
     def test_coarsen_contractions_are_backend_independent(self, backend, monkeypatch):
         dag = random_dag(60, 0.08, seed=17)
         monkeypatch.setenv(ENV_VAR, "numpy")
-        baseline = coarsen_dag(dag, 15, search_budget=64)
+        baseline = coarsen_dag_dfs_reference(dag, 15)
         monkeypatch.setenv(ENV_VAR, backend)
-        sequence = coarsen_dag(dag, 15, search_budget=64)
+        sequence = coarsen_dag_dfs_reference(dag, 15)
         assert sequence.records == baseline.records
 
+    @covers("symbolic_fill_quotient")
     def test_symbolic_fill_is_backend_independent(self, backend, monkeypatch):
         pattern = SparseMatrixPattern.random(40, 0.15, seed=5, ensure_diagonal=True)
         monkeypatch.setenv(ENV_VAR, "numpy")
@@ -173,9 +192,8 @@ class TestBackendParity:
         for got, expected in zip(structures, base_structures):
             assert np.array_equal(got, expected)
 
+    @covers("pk_order")
     def test_pk_coarsen_is_backend_independent(self, backend, monkeypatch):
-        # no search_budget -> the auto method routes through the pk_order
-        # kernel on every backend
         for seed in (17, 23):
             dag = random_dag(60, 0.1, seed=seed)
             monkeypatch.setenv(ENV_VAR, "numpy")
@@ -184,6 +202,7 @@ class TestBackendParity:
             sequence = coarsen_dag(dag, 15)
             assert sequence.records == baseline.records, (backend, seed)
 
+    @covers("hccs_pass", "hccs_pass_fronts")
     def test_hccs_fronts_match_serial_pass(self, backend):
         """Direct front-vs-serial pin on a state with genuinely large fronts.
 
@@ -241,6 +260,16 @@ class TestBackendParity:
             assert np.allclose(front_state.send, serial_state.send)
             assert np.allclose(front_state.recv, serial_state.recv)
             assert np.allclose(front_state.comm_max, serial_state.comm_max)
+
+
+class TestKernelRegistry:
+    def test_every_registered_kernel_has_a_parity_case(self):
+        covered = {
+            name
+            for test in vars(TestBackendParity).values()
+            for name in getattr(test, "kernels", ())
+        }
+        assert set(KERNELS) == covered
 
 
 # ---------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from repro.schedulers import BspGreedyScheduler, MultilevelScheduler
 from repro.schedulers.multilevel import (
     ContractionRecord,
     coarsen_dag,
+    coarsen_dag_dfs_reference,
     coarsen_dag_reference,
     project_to_original,
     restrict_to_quotient,
@@ -141,55 +142,38 @@ class TestBucketQueueCoarsening:
         seed_sequence = coarsen_dag_reference(dag, target_nodes=2)
         assert seed_sequence.records[0] == ContractionRecord(kept=0, removed=2)
 
-    def test_search_budget_is_conservative_but_safe(self):
-        dag = random_dag(40, 0.15, seed=13)
-        exact = coarsen_dag(dag, target_nodes=10)
-        budgeted = coarsen_dag(dag, target_nodes=10, search_budget=2)
-        assert budgeted.num_contractions <= exact.num_contractions
-        assert budgeted.quotient().dag.is_acyclic()
-        for level in range(0, budgeted.num_contractions + 1, 7):
-            assert budgeted.quotient(level).dag.is_acyclic()
+    def test_zero_budget_still_contracts_via_fast_paths(self, monkeypatch):
+        # a chain needs no acyclicity probe at all: u is always v's only
+        # predecessor, so with zero probes allowed every contraction still
+        # goes through the O(1) fast path
+        from repro.core import kernels
 
-    def test_zero_budget_still_contracts_via_fast_paths(self):
-        # a chain needs no DFS at all: u is always v's only predecessor
-        dag = build_chain_dag(12)
-        sequence = coarsen_dag(dag, target_nodes=1, search_budget=0)
-        assert sequence.quotient().dag.num_nodes == 1
+        def no_probe(*args):
+            raise AssertionError("chain contraction reached a reachability probe")
+
+        monkeypatch.setattr(kernels, "pk_order", no_probe)
+        monkeypatch.setattr(kernels, "coarsen_reach", no_probe)
+        for n in (10, 12):
+            for coarsen in (coarsen_dag, coarsen_dag_dfs_reference):
+                sequence = coarsen(build_chain_dag(n), target_nodes=1)
+                assert sequence.quotient().dag.num_nodes == 1
 
 
 class TestPearceKellyCoarsening:
-    """The PK dynamic-order path is decision-identical to the exact DFS."""
+    """The PK dynamic-order path is decision-identical to the exact DFS reference."""
 
     def test_pk_and_dfs_identical_records(self):
-        for seed in range(8):
-            dag = random_dag(60, 0.1, seed=400 + seed)
-            dfs = coarsen_dag(dag, target_nodes=12, method="dfs")
-            pk = coarsen_dag(dag, target_nodes=12, method="pk")
-            auto = coarsen_dag(dag, target_nodes=12)
-            assert pk.records == dfs.records, seed
-            assert auto.records == dfs.records, seed
-            assert pk.quotient().dag.is_acyclic()
-
-    def test_auto_with_budget_uses_dfs(self):
-        # search_budget is a DFS-node budget, so auto must route to DFS
-        dag = random_dag(40, 0.15, seed=13)
-        budgeted = coarsen_dag(dag, target_nodes=10, search_budget=2)
-        auto = coarsen_dag(dag, target_nodes=10, search_budget=2, method="auto")
-        assert auto.records == budgeted.records
-
-    def test_unknown_method_rejected(self):
-        dag = build_chain_dag(6)
-        with pytest.raises(DagError, match="unknown coarsening method"):
-            coarsen_dag(dag, target_nodes=2, method="bogus")
-
-    def test_pk_with_search_budget_rejected(self):
-        dag = build_chain_dag(6)
-        with pytest.raises(DagError, match="search_budget"):
-            coarsen_dag(dag, target_nodes=2, search_budget=8, method="pk")
+        for density in (0.05, 0.1, 0.3):
+            for seed in range(8):
+                dag = random_dag(60, density, seed=400 + seed)
+                dfs = coarsen_dag_dfs_reference(dag, target_nodes=12)
+                pk = coarsen_dag(dag, target_nodes=12)
+                assert pk.records == dfs.records, (density, seed)
+                assert pk.quotient().dag.is_acyclic()
 
     def test_pk_dense_dag_stays_acyclic_at_every_level(self):
         dag = random_dag(50, 0.35, seed=91)
-        sequence = coarsen_dag(dag, target_nodes=5, method="pk")
+        sequence = coarsen_dag(dag, target_nodes=5)
         for level in range(0, sequence.num_contractions + 1, 5):
             assert sequence.quotient(level).dag.is_acyclic()
 

@@ -24,8 +24,48 @@ from repro.dagdb import (
     build_stencil_dag,
     rcm_ordering,
 )
-from repro.dagdb.structured import symbolic_fill_structure
+from repro.dagdb.reference import symbolic_fill_uplooking_reference
+from repro.dagdb.structured import symbolic_fill_csr, symbolic_fill_structure
 from repro.schedulers import SchedulingPipeline, create_scheduler
+
+
+def _arrowhead(n: int) -> SparseMatrixPattern:
+    coords = [(0, j) for j in range(n)] + [(i, 0) for i in range(n)]
+    coords += [(i, i) for i in range(n)]
+    return SparseMatrixPattern.from_coordinates(n, coords)
+
+
+#: fill-differential inputs: random patterns at three densities plus the
+#: structural extremes (no fill, complete fill, no off-diagonal, no columns)
+FILL_PATTERNS = {
+    "random-sparse": lambda: SparseMatrixPattern.random(
+        60, 0.03, seed=11, ensure_diagonal=True
+    ),
+    "random-medium": lambda: SparseMatrixPattern.random(
+        60, 0.1, seed=12, ensure_diagonal=True
+    ),
+    "random-dense": lambda: SparseMatrixPattern.random(
+        60, 0.3, seed=13, ensure_diagonal=True
+    ),
+    "tridiagonal": lambda: SparseMatrixPattern.tridiagonal(40),
+    "arrowhead": lambda: _arrowhead(12),
+    "diagonal": lambda: SparseMatrixPattern.from_coordinates(
+        7, [(i, i) for i in range(7)]
+    ),
+    "empty": lambda: SparseMatrixPattern(0, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_PATTERNS))
+def test_quotient_fill_matches_uplooking_reference(name):
+    """The production quotient fill is bit-identical to the up-looking pass."""
+    pattern = FILL_PATTERNS[name]()
+    sym = pattern.symmetrized()
+    expected = symbolic_fill_uplooking_reference(sym.indptr, sym.indices, sym.size)
+    got = symbolic_fill_csr(pattern)
+    for label, g, e in zip(("indptr", "indices", "parents"), got, expected):
+        assert g.dtype == e.dtype == np.int64, label
+        assert np.array_equal(g, e), label
 
 
 class TestEliminationDag:
@@ -55,10 +95,7 @@ class TestEliminationDag:
     def test_arrowhead_fills_completely(self):
         """Row/column 0 dense: eliminating column 0 connects everything."""
         n = 6
-        coords = [(0, j) for j in range(n)] + [(i, 0) for i in range(n)]
-        coords += [(i, i) for i in range(n)]
-        pattern = SparseMatrixPattern.from_coordinates(n, coords)
-        result = build_elimination_dag(pattern)
+        result = build_elimination_dag(_arrowhead(n))
         assert result.dag.num_edges == n * (n - 1) // 2  # complete fill
         assert result.dag.depth() == n
 
