@@ -59,8 +59,7 @@ from repro.schedulers.registry import create_scheduler
 BENCH_PR_NUMBER = int(os.environ.get("REPRO_BENCH_PR", "9"))
 
 #: instance size for the fan-out section; the acceptance-scale run uses
-#: 100k nodes (the O(n^2) greedy initialiser then dominates at ~2 min per
-#: solve), the default keeps the benchmark CI-friendly
+#: 100k nodes, the default keeps the benchmark CI-friendly
 FANOUT_NODES = int(os.environ.get("REPRO_BENCH_PIPELINE_NODES", "20000"))
 FANOUT_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS", "4"))
 FANOUT_PROCS = 4

@@ -3,7 +3,7 @@
 from .classical import ClassicalSchedule, classical_to_bsp
 from .comm import CommStep, CommWindow, eager_comm_schedule, lazy_comm_schedule, required_transfers
 from .cost import CostBreakdown, evaluate_cost
-from .dag import ComputationalDAG, DagBuilder, EdgeView
+from .dag import ComputationalDAG, DagBuilder, EdgeView, neighbour_lists
 from .exceptions import (
     ConfigurationError,
     CycleError,
@@ -55,6 +55,7 @@ __all__ = [
     "load_schedule",
     "machine_from_dict",
     "machine_to_dict",
+    "neighbour_lists",
     "default_workers",
     "parallel_map",
     "save_schedule",

@@ -52,7 +52,7 @@ from .csr import (
 from .dynorder import DynamicTopologicalOrder
 from .exceptions import CycleError, DagError
 
-__all__ = ["ComputationalDAG", "DagBuilder", "EdgeView"]
+__all__ = ["ComputationalDAG", "DagBuilder", "EdgeView", "neighbour_lists"]
 
 _INT = np.int64
 
@@ -1011,3 +1011,27 @@ class DagBuilder:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"DagBuilder(name={self.name!r}, n={self._n}, m={self._m})"
+
+
+def neighbour_lists(dag: ComputationalDAG) -> tuple[list[list[int]], list[list[int]]]:
+    """``(succ, pred)`` adjacency of ``dag`` as Python lists of node ids.
+
+    Row ``v`` of each list equals ``dag.succ(v).tolist()`` /
+    ``dag.pred(v).tolist()`` (edge insertion order).  Pure-Python heuristics
+    that walk neighbourhoods node by node build this view once per solve:
+    indexing a list row is far cheaper than the bounds check, CSR slice and
+    ``.tolist()`` of every ``dag.succ(v)`` call.  The view is built afresh on
+    every call and never cached on the DAG, so it lives only as long as the
+    solve that asked for it (a long-lived DAG, e.g. one held by a result
+    cache, does not carry its Python-object copy around).
+    """
+    return (
+        _row_lists(dag.succ_indptr, dag.succ_indices),
+        _row_lists(dag.pred_indptr, dag.pred_indices),
+    )
+
+
+def _row_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]

@@ -16,10 +16,31 @@ the per-processor work stays balanced.  The rules are:
 * tie-breaking between assignable nodes uses a communication-saving score:
   a candidate ``v`` is preferred when its predecessors ``u`` (or their
   direct successors) already live on the target processor, weighted by
-  ``c(u) / outdeg(u)``.
+  ``c(u) / outdeg(u)``; the highest score wins, ties go to the smallest id.
 
-Communication steps are not constructed explicitly; the resulting schedule
-uses the lazy communication schedule.
+The score is maintained incrementally.  ``present[p][u]`` records that ``u``
+or one of its successors is assigned to ``p``; assignments are never undone,
+so the flag only ever turns on.  Assigning ``w`` to ``p`` turns on
+``present[p][w]`` and ``present[p][u]`` for every predecessor ``u`` of
+``w``, and each flag that turns on for the first time adds
+``c(u) / outdeg(u)`` to ``score[p][x]`` for every successor ``x`` of ``u``.
+Every (node, processor) flag turns on at most once, so keeping the scores
+costs ``O(E * P)`` per solve in total, and a pick costs one ``O(|pool|)``
+scan for the maximum instead of a walk over every predecessor and every
+successor of those predecessors for every ready node.
+
+The incremental sums add the same terms as a from-scratch sum over ``v``'s
+predecessors, but in the order the flags turned on, so with non-dyadic
+weights (``1/3``, ``0.1``) two totals may differ in the last bit.  A pick
+therefore re-scores exactly, in predecessor order, every pool node within a
+relative ``TIE_TOLERANCE`` of the best incremental score (rounding drift is
+about ``1e-16`` per term) and applies the rule above to those exact scores:
+the decisions are those of the from-scratch score, bit for bit.
+
+Neighbourhoods are read from per-solve neighbour lists
+(:func:`repro.core.dag.neighbour_lists`).  Communication steps are not
+constructed explicitly; the resulting schedule uses the lazy communication
+schedule.
 """
 
 from __future__ import annotations
@@ -28,12 +49,16 @@ import heapq
 
 import numpy as np
 
-from ..core.dag import ComputationalDAG
+from ..core.dag import ComputationalDAG, neighbour_lists
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
 from .base import Scheduler, TimeBudget
 
 __all__ = ["BspGreedyScheduler"]
+
+#: relative width of the band below the best incremental score inside which
+#: candidates are re-scored exactly (rounding drift is ~1e-16 per term)
+TIE_TOLERANCE = 1e-9
 
 
 class BspGreedyScheduler(Scheduler):
@@ -61,15 +86,19 @@ class BspGreedyScheduler(Scheduler):
     ) -> BspSchedule:
         n = dag.num_nodes
         num_procs = machine.num_procs
-        procs = np.zeros(n, dtype=np.int64)
-        supersteps = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return BspSchedule(dag, machine, procs, supersteps)
-
-        assigned = np.zeros(n, dtype=bool)
-        finished = np.zeros(n, dtype=bool)
-        remaining_preds = dag.in_degrees()
-        outdeg = np.maximum(dag.out_degrees(), 1)
+        succ, pred = neighbour_lists(dag)
+        work = dag.work_weights.tolist()
+        # c(u) / outdeg(u): what u adds to a successor's score on a processor
+        # where u is present
+        share = (dag.comm_weights / np.maximum(dag.out_degrees(), 1)).tolist()
+        procs = [0] * n
+        supersteps = [0] * n
+        assigned = [False] * n
+        remaining_preds = dag.in_degrees().tolist()
+        # present[p][u]: u or one of its successors is assigned to p (monotone);
+        # score[p][v]: sum of share[u] over the predecessors u of v present on p
+        present = [bytearray(n) for _ in range(num_procs)]
+        score = [[0.0] * n for _ in range(num_procs)]
 
         ready: set[int] = set(dag.sources())
         ready_all: set[int] = set(ready)
@@ -84,31 +113,42 @@ class BspGreedyScheduler(Scheduler):
         finish_events: list[tuple[float, int]] = [(0.0, -1)]
         idle_threshold = max(1, int(np.ceil(self.idle_fraction * num_procs)))
 
-        def choose_node(proc: int) -> int | None:
-            """Pick the best assignable node for ``proc`` (Appendix A.2 score)."""
-            pool = ready_proc[proc] if ready_proc[proc] else ready_all
-            if not pool:
-                return None
-            best_node = None
+        def mark_present(node: int, proc: int) -> None:
+            """Record ``node`` on ``proc``: it and its predecessors become present."""
+            on_proc = present[proc]
+            proc_score = score[proc]
+            for u in (node, *pred[node]):
+                if not on_proc[u]:
+                    on_proc[u] = 1
+                    weight = share[u]
+                    for x in succ[u]:
+                        proc_score[x] += weight
+
+        def choose_node(proc: int, pool: set[int]) -> int:
+            """Pick the best node of ``pool`` for ``proc`` (Appendix A.2 score)."""
+            proc_score = score[proc]
+            best = max(map(proc_score.__getitem__, pool))
+            if best == 0.0:
+                return min(pool)
+            threshold = best * (1.0 - TIE_TOLERANCE)
+            candidates = [v for v in pool if proc_score[v] >= threshold]
+            if len(candidates) == 1:
+                return candidates[0]
+            # The incremental sums may differ from a predecessor-order sum in
+            # the last bit; re-score the near-ties exactly so the pick is the
+            # one the from-scratch score makes (highest, then smallest id).
+            on_proc = present[proc]
+            best_node = -1
             best_score = -1.0
-            for v in pool:
-                score = 0.0
-                for u in dag.pred(v).tolist():
-                    on_proc = assigned[u] and procs[u] == proc
-                    if not on_proc:
-                        on_proc = any(
-                            assigned[w] and procs[w] == proc
-                            for w in dag.succ(u).tolist()
-                        )
-                    if on_proc:
-                        score += dag.comm(u) / outdeg[u]
-                if score > best_score or (score == best_score and (best_node is None or v < best_node)):
-                    best_score = score
+            for v in sorted(candidates):
+                exact = 0.0
+                for u in pred[v]:
+                    if on_proc[u]:
+                        exact += share[u]
+                if exact > best_score:
+                    best_score = exact
                     best_node = v
             return best_node
-
-        def assignable(proc: int) -> bool:
-            return free[proc] and bool(ready_proc[proc] or ready_all)
 
         while unassigned > 0:
             if end_step and not finish_events:
@@ -134,31 +174,29 @@ class BspGreedyScheduler(Scheduler):
                 _, node = heapq.heappop(finish_events)
                 if node < 0:
                     continue
-                finished[node] = True
-                free[int(procs[node])] = True
-                for succ in dag.succ(node).tolist():
-                    remaining_preds[succ] -= 1
-                    if remaining_preds[succ] == 0:
-                        ready.add(succ)
-                        # can `succ` still be computed inside this superstep
+                proc = procs[node]
+                free[proc] = True
+                for child in succ[node]:
+                    remaining_preds[child] -= 1
+                    if remaining_preds[child] == 0:
+                        ready.add(child)
+                        # can `child` still be computed inside this superstep
                         # on the finishing node's processor?
-                        proc = int(procs[node])
                         if all(
-                            (assigned[u] and (procs[u] == proc or supersteps[u] < superstep))
-                            for u in dag.pred(succ).tolist()
+                            assigned[u] and (procs[u] == proc or supersteps[u] < superstep)
+                            for u in pred[child]
                         ):
-                            ready_proc[proc].add(succ)
+                            ready_proc[proc].add(child)
 
             if not end_step:
                 progress = True
                 while progress:
                     progress = False
                     for proc in range(num_procs):
-                        if not assignable(proc):
+                        pool = ready_proc[proc] or ready_all
+                        if not (free[proc] and pool):
                             continue
-                        node = choose_node(proc)
-                        if node is None:
-                            continue
+                        node = choose_node(proc, pool)
                         ready.discard(node)
                         ready_all.discard(node)
                         for pool in ready_proc:
@@ -166,9 +204,10 @@ class BspGreedyScheduler(Scheduler):
                         procs[node] = proc
                         supersteps[node] = superstep
                         assigned[node] = True
+                        mark_present(node, proc)
                         unassigned -= 1
                         free[proc] = False
-                        heapq.heappush(finish_events, (time_now + dag.work(node), node))
+                        heapq.heappush(finish_events, (time_now + work[node], node))
                         progress = True
 
             idle_procs = sum(
@@ -177,4 +216,9 @@ class BspGreedyScheduler(Scheduler):
             if not ready_all and idle_procs >= idle_threshold:
                 end_step = True
 
-        return BspSchedule(dag, machine, procs, supersteps)
+        return BspSchedule(
+            dag,
+            machine,
+            np.asarray(procs, dtype=np.int64),
+            np.asarray(supersteps, dtype=np.int64),
+        )

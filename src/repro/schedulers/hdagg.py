@@ -30,12 +30,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.csr import gather_rows
-from ..core.dag import ComputationalDAG
+from ..core.dag import ComputationalDAG, neighbour_lists
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
 from .base import Scheduler, TimeBudget
 
 __all__ = ["HDaggScheduler"]
+
+#: ``(succ, pred)`` neighbour lists of :func:`repro.core.dag.neighbour_lists`
+_Adjacency = tuple[list[list[int]], list[list[int]]]
 
 
 class HDaggScheduler(Scheduler):
@@ -61,11 +64,9 @@ class HDaggScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
     def _group_levels(
-        self, dag: ComputationalDAG, num_procs: int, levels: np.ndarray
+        self, adjacency: _Adjacency, num_procs: int, levels: np.ndarray
     ) -> list[list[int]]:
         """Merge consecutive levels into groups with enough independent units."""
-        if dag.num_nodes == 0:
-            return []
         num_levels = int(levels.max()) + 1
         # array-based wavefront construction: one stable argsort groups the
         # nodes by level with ascending index inside every level
@@ -91,7 +92,7 @@ class HDaggScheduler(Scheduler):
                 levels_in_group = 0
             current.extend(level_nodes)
             levels_in_group += 1
-            units = self._units(dag, current)
+            units = self._units(adjacency, current)
             if (
                 len(units) >= num_procs
                 or len(level_nodes) >= num_procs
@@ -105,8 +106,9 @@ class HDaggScheduler(Scheduler):
         return groups
 
     @staticmethod
-    def _units(dag: ComputationalDAG, group: list[int]) -> list[list[int]]:
+    def _units(adjacency: _Adjacency, group: list[int]) -> list[list[int]]:
         """Weakly connected components of the subgraph induced by ``group``."""
+        succ, pred = adjacency
         member = set(group)
         seen: set[int] = set()
         units: list[list[int]] = []
@@ -119,10 +121,11 @@ class HDaggScheduler(Scheduler):
             while stack:
                 v = stack.pop()
                 component.append(v)
-                for w in dag.succ(v).tolist() + dag.pred(v).tolist():
-                    if w in member and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+                for row in (succ[v], pred[v]):
+                    for w in row:
+                        if w in member and w not in seen:
+                            seen.add(w)
+                            stack.append(w)
             units.append(component)
         return units
 
@@ -139,13 +142,13 @@ class HDaggScheduler(Scheduler):
         if n == 0:
             return BspSchedule(dag, machine, procs, supersteps)
 
-        levels = dag.levels()
-        groups = self._group_levels(dag, machine.num_procs, levels)
+        adjacency = neighbour_lists(dag)
+        groups = self._group_levels(adjacency, machine.num_procs, dag.levels())
         work_weights = dag.work_weights
         comm_weights = dag.comm_weights
 
         for superstep, group in enumerate(groups):
-            units = self._units(dag, group)
+            units = self._units(adjacency, group)
             units.sort(key=lambda unit: (-float(work_weights[unit].sum()), unit[0]))
             group_work = float(work_weights[group].sum())
             load_bound = self.balance_factor * group_work / machine.num_procs

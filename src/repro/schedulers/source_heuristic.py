@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.dag import ComputationalDAG
+from ..core.dag import ComputationalDAG, neighbour_lists
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
 from .base import Scheduler, TimeBudget
@@ -59,13 +59,11 @@ class SourceScheduler(Scheduler):
     ) -> BspSchedule:
         n = dag.num_nodes
         num_procs = machine.num_procs
-        procs = np.zeros(n, dtype=np.int64)
-        supersteps = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return BspSchedule(dag, machine, procs, supersteps)
-
-        assigned = np.zeros(n, dtype=bool)
-        remaining_preds = dag.in_degrees()
+        succ, pred = neighbour_lists(dag)
+        work = dag.work_weights.tolist()
+        procs = [0] * n
+        supersteps = [0] * n
+        remaining_preds = dag.in_degrees().tolist()
         frontier = sorted(dag.sources())
         superstep = 0
 
@@ -73,62 +71,67 @@ class SourceScheduler(Scheduler):
             """Assign ``node`` and return successors that just became sources."""
             procs[node] = proc
             supersteps[node] = superstep
-            assigned[node] = True
             newly_ready = []
-            for succ in dag.succ(node).tolist():
-                remaining_preds[succ] -= 1
-                if remaining_preds[succ] == 0:
-                    newly_ready.append(succ)
+            for child in succ[node]:
+                remaining_preds[child] -= 1
+                if remaining_preds[child] == 0:
+                    newly_ready.append(child)
             return newly_ready
 
         while frontier:
-            next_frontier: list[int] = []
+            next_frontier: set[int] = set()
             if superstep == 0:
-                clusters = self._cluster_initial_sources(dag, frontier)
+                clusters = self._cluster_initial_sources(succ, frontier)
                 proc = 0
                 for cluster in clusters:
                     for node in cluster:
-                        next_frontier.extend(mark_assigned(node, proc))
+                        next_frontier.update(mark_assigned(node, proc))
                     proc = (proc + 1) % num_procs
             else:
                 proc = 0
-                for node in sorted(frontier, key=lambda v: (-dag.work(v), v)):
-                    next_frontier.extend(mark_assigned(node, proc))
+                for node in sorted(frontier, key=lambda v: (-work[v], v)):
+                    next_frontier.update(mark_assigned(node, proc))
                     proc = (proc + 1) % num_procs
 
             # Pull successors whose predecessors all sit on one processor into
             # the current superstep (no communication needed for them).  As in
             # the paper's Algorithm 2 this is a single pass over the direct
             # successors of the layer just assigned, not a fixpoint iteration.
+            # Every node in the pass became ready because all of its
+            # predecessors are assigned, so only their processors matter, and
+            # the pass's order does not change any decision.
             for node in list(next_frontier):
-                preds = dag.pred(node)
-                if preds.size and assigned[preds].all():
-                    owner_procs = np.unique(procs[preds])
-                    if owner_procs.size == 1:
-                        next_frontier.remove(node)
-                        next_frontier.extend(mark_assigned(node, int(owner_procs[0])))
+                owners = {procs[u] for u in pred[node]}
+                if len(owners) == 1:
+                    next_frontier.discard(node)
+                    next_frontier.update(mark_assigned(node, owners.pop()))
 
-            frontier = sorted(set(next_frontier))
+            frontier = sorted(next_frontier)
             superstep += 1
 
-        return BspSchedule(dag, machine, procs, supersteps)
+        return BspSchedule(
+            dag,
+            machine,
+            np.asarray(procs, dtype=np.int64),
+            np.asarray(supersteps, dtype=np.int64),
+        )
 
     @staticmethod
     def _cluster_initial_sources(
-        dag: ComputationalDAG, sources: list[int]
+        succ: list[list[int]], sources: list[int]
     ) -> list[list[int]]:
         """Group the initial sources: sources sharing a direct successor are merged."""
         union_find = _UnionFind(list(sources))
         source_set = set(sources)
         seen_parent_of: dict[int, int] = {}
         for source in sources:
-            for succ in dag.succ(source).tolist():
-                if succ in seen_parent_of:
-                    other = seen_parent_of[succ]
+            for child in succ[source]:
+                if child in seen_parent_of:
+                    other = seen_parent_of[child]
                     if other in source_set:
                         union_find.union(source, other)
                 else:
-                    seen_parent_of[succ] = source
+                    seen_parent_of[child] = source
         clusters: dict[int, list[int]] = {}
         for source in sources:
             clusters.setdefault(union_find.find(source), []).append(source)

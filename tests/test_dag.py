@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ComputationalDAG, CycleError, DagError
+from repro.core import ComputationalDAG, CycleError, DagError, neighbour_lists
 
 from conftest import build_chain_dag, build_diamond_dag, build_fork_join_dag
 
@@ -122,6 +122,20 @@ class TestEdges:
         dag = build_diamond_dag()
         edges = {(e.source, e.target) for e in dag.edges()}
         assert edges == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+    def test_neighbour_lists_match_csr_rows(self):
+        rng = np.random.default_rng(3)
+        dag = ComputationalDAG(30)
+        # forward edges in random insertion order: rows keep that order
+        for u, v in rng.integers(0, 30, size=(80, 2)).tolist():
+            if u < v and not dag.has_edge(u, v):
+                dag.add_edge(u, v)
+        succ, pred = neighbour_lists(dag)
+        assert succ == [dag.succ(v).tolist() for v in dag.nodes()]
+        assert pred == [dag.pred(v).tolist() for v in dag.nodes()]
+        # a fresh view per call, never shared with the DAG or a later call
+        assert neighbour_lists(dag)[0] is not succ
+        assert neighbour_lists(ComputationalDAG(0)) == ([], [])
 
 
 class TestDynamicOrderCycleChecks:

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core import BspMachine, ComputationalDAG
-from repro.schedulers import BspGreedyScheduler, CilkScheduler, SourceScheduler
+from repro.schedulers import (
+    BspGreedyScheduler,
+    CilkScheduler,
+    HDaggScheduler,
+    SourceScheduler,
+)
 
 from conftest import (
     assert_valid_schedule,
@@ -15,7 +23,7 @@ from conftest import (
     build_paper_example_dag,
     random_dag,
 )
-from repro.dagdb import SparseMatrixPattern, build_cg_dag, build_spmv_dag
+from repro.dagdb import SparseMatrixPattern, build_cg_dag, build_dataset, build_spmv_dag
 
 
 HEURISTICS = [BspGreedyScheduler, SourceScheduler]
@@ -155,3 +163,43 @@ class TestSource:
         cilk = CilkScheduler(seed=0).schedule(dag, machine)
         assert source.cost() <= cilk.cost()
         assert source.num_supersteps <= 4
+
+
+class TestPinnedDecisions:
+    """``(procs, supersteps)`` digests recorded before the heuristics moved from
+    per-call CSR slices to per-solve neighbour lists; any change of decision on
+    the ``small`` bench dataset changes a digest."""
+
+    MACHINES = {
+        "uniform8": lambda: BspMachine.uniform(8, g=1.0, latency=5.0),
+        "numa16": lambda: BspMachine.numa_hierarchy(16, delta=3.0, g=3.0, latency=10.0),
+    }
+    DIGESTS = {
+        ("source", "uniform8"): "402202243b53083a36cc00088f4d4533070f5245fde1d9ff4edfc557b9587253",
+        ("source", "numa16"): "81edb4483a3497bc8ef6fef8c3e36c5cf76d49e2639d1374e146ae7da4ca0a8c",
+        ("hdagg", "uniform8"): "4641ce531126a7d6829c9e27dc91597cf8097487aa6cf801a3e5d30afc3efed6",
+        ("hdagg", "numa16"): "d081e5a1c0a415fe88809987cbe11ef778461247b06d3e660e940a86835a9473",
+        ("bsp_greedy", "uniform8"): "8cca90d10fe6ac1553502a9ca010dfee317832b8a98faf11458aa40dfa54ab14",
+        ("bsp_greedy", "numa16"): "1ca187c06b458f3538751ea7e5d960345e5b684e41b1806aadbc2037967ccb38",
+    }
+    SCHEDULERS = {
+        "source": SourceScheduler,
+        "hdagg": HDaggScheduler,
+        "bsp_greedy": BspGreedyScheduler,
+    }
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return build_dataset("small")
+
+    @pytest.mark.parametrize("scheduler_name, machine_label", sorted(DIGESTS))
+    def test_decisions_match_recorded_digest(self, instances, scheduler_name, machine_label):
+        scheduler = self.SCHEDULERS[scheduler_name]()
+        machine = self.MACHINES[machine_label]()
+        digest = hashlib.sha256()
+        for inst in instances:
+            schedule = scheduler.schedule(inst.dag, machine)
+            digest.update(inst.name.encode())
+            digest.update(np.asarray(schedule.procs, dtype=np.int64).tobytes())
+            digest.update(np.asarray(schedule.supersteps, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[scheduler_name, machine_label]
